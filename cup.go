@@ -56,8 +56,10 @@
 // # Compatibility
 //
 // Run(Params) and NewSimulation(Params) remain as thin wrappers over the
-// discrete-event driver for existing callers; live.NewNetwork likewise
-// still exists underneath WithTransport(Live). New code should use New.
+// discrete-event driver for existing callers. Underneath
+// WithTransport(Live) and WithTransport(LiveTCP) sits one live network,
+// live.Network, built over a channel link or a TCP link respectively.
+// New code should use New.
 //
 // The protocol core is a pure state machine (Node); both transports drive
 // the same code, so simulation results transfer to the live runtime.

@@ -763,34 +763,35 @@ func (r *simRuntime) run(ctx context.Context) (*Result, error) {
 // boots lazily on first use: construction is free, so a multi-trial
 // sweep's base runtime (never driven — trials boot their own networks)
 // costs nothing, and an interactive deployment pays only when the
-// first client call arrives. Both shells implement live.Endpoint, so
+// first client call arrives. Both transports build the same
+// *live.Network and differ only in its link (channels or TCP), so
 // everything past boot is transport-blind.
 type liveRuntime struct {
 	cfg live.Config
 	tcp bool
 
 	mu     sync.Mutex
-	n      live.Endpoint
+	n      *live.Network
 	closed bool
 }
 
 // network returns the booted network, booting it on first use. It
-// errors when the runtime was closed before ever booting, or — TCP
-// only — when the boot itself fails (port budget exhausted, listeners
+// errors when the runtime was closed before ever booting, or when the
+// boot itself fails (on TCP: port budget exhausted, listeners
 // unavailable). A failed boot holds no resources and may be retried.
-func (r *liveRuntime) network() (live.Endpoint, error) {
+func (r *liveRuntime) network() (*live.Network, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.n == nil && !r.closed {
+		boot, name := live.NewNetwork, "live"
 		if r.tcp {
-			tn, err := live.NewTCPNetwork(r.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("cup: tcp transport: %w", err)
-			}
-			r.n = tn
-		} else {
-			r.n = live.NewNetwork(r.cfg)
+			boot, name = live.NewTCPNetwork, "tcp"
 		}
+		n, err := boot(r.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("cup: %s transport: %w", name, err)
+		}
+		r.n = n
 	}
 	if r.n == nil {
 		return nil, live.ErrClosed
@@ -800,7 +801,7 @@ func (r *liveRuntime) network() (live.Endpoint, error) {
 
 // peek returns the network only if it already booted: reads of
 // counters or the clock must not boot a network just to see zeros.
-func (r *liveRuntime) peek() live.Endpoint {
+func (r *liveRuntime) peek() *live.Network {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n

@@ -46,7 +46,7 @@ func (p *arenaPool) alloc() int32 {
 // Arena is the struct-of-arrays backing store for simulation-scale node
 // populations: all Node structs in one slice (dense uint32 handles ==
 // overlay IDs), cache stores by value in parallel slices, per-key state
-// in a chunked slab threaded per node, and one shared nodeEnv instead of
+// in chunked slabs threaded per node, and one shared nodeEnv instead of
 // per-node Config/Router copies. At n=10⁶ this is the difference between
 // ~150 bytes of resident state per untouched node and the standalone
 // representation's four heap objects (Node, two Stores, keys map) before
@@ -57,14 +57,18 @@ type Arena struct {
 	nodes  []Node
 	stores []cache.Store
 	locals []cache.Store
-	// keyHead[slot] is the first key-state slot of node slot, -1 if none.
+	// keyHead[slot] is the first key-state slot of node slot, -1 if none,
+	// as a handle into the node's owner pool pools[Node.owner].
 	keyHead []int32
-	pool    arenaPool
+	// pools holds one key-state slab per owner. Nodes start in pools[0];
+	// SetShardRange gives a shard's nodes a slab of their own, so parallel
+	// shard windows never allocate from the same bump pointer.
+	pools []arenaPool
 }
 
 // NewArena builds n arena-backed nodes with dense IDs 0..n-1, all sharing
-// cfg and router and reading clock. Per-node clocks (sharded schedulers)
-// can be installed afterwards with SetClockRange.
+// cfg and router and reading clock. Per-shard clocks and key-state slabs
+// (sharded schedulers) can be installed afterwards with SetShardRange.
 func NewArena(n int, cfg Config, router Router, clock func() sim.Time) *Arena {
 	if cfg.Policy == nil {
 		panic("cup: Config.Policy must be set (use Defaults())")
@@ -78,6 +82,7 @@ func NewArena(n int, cfg Config, router Router, clock func() sim.Time) *Arena {
 		stores:  make([]cache.Store, n),
 		locals:  make([]cache.Store, n),
 		keyHead: make([]int32, n),
+		pools:   make([]arenaPool, 1),
 	}
 	for i := range a.nodes {
 		nd := &a.nodes[i]
@@ -101,11 +106,20 @@ func (a *Arena) Len() int { return len(a.nodes) }
 // the arena's lifetime.
 func (a *Arena) Node(i int) *Node { return &a.nodes[i] }
 
-// SetClockRange installs clock as the time source for nodes [lo, hi) —
-// the sharded scheduler gives each shard's nodes that shard's clock.
-func (a *Arena) SetClockRange(lo, hi int, clock func() sim.Time) {
+// SetShardRange installs clock as the time source for nodes [lo, hi) and
+// moves them onto a key-state slab of their own. The sharded scheduler
+// gives each shard's nodes that shard's clock; the private slab lets the
+// shards' windows allocate key state in parallel. Call it before any
+// node of the range holds key state.
+func (a *Arena) SetShardRange(lo, hi int, clock func() sim.Time) {
+	owner := uint32(len(a.pools))
+	a.pools = append(a.pools, arenaPool{})
 	for i := lo; i < hi; i++ {
+		if a.keyHead[i] >= 0 {
+			panic("cup: SetShardRange on a node that already holds key state")
+		}
 		a.nodes[i].now = clock
+		a.nodes[i].owner = owner
 	}
 }
 
@@ -118,19 +132,27 @@ func (a *Arena) SetObserver(o Observer) {
 
 // KeyStates returns the total number of allocated per-key states — the
 // denominator-free numerator for bytes-per-node accounting.
-func (a *Arena) KeyStates() int { return int(a.pool.n) }
+func (a *Arena) KeyStates() int {
+	n := 0
+	for i := range a.pools {
+		n += int(a.pools[i].n)
+	}
+	return n
+}
 
-// state returns (allocating if needed) node slot's bookkeeping for k.
-func (a *Arena) state(slot uint32, k overlay.Key) *keyState {
+// state returns (allocating if needed) node slot's bookkeeping for k,
+// allocating from the slab of owner.
+func (a *Arena) state(slot, owner uint32, k overlay.Key) *keyState {
+	pool := &a.pools[owner]
 	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
+		sl := pool.at(i)
 		if sl.key == k {
 			return &sl.ks
 		}
 		i = sl.next
 	}
-	i := a.pool.alloc()
-	sl := a.pool.at(i)
+	i := pool.alloc()
+	sl := pool.at(i)
 	sl.key = k
 	sl.next = a.keyHead[slot]
 	sl.ks = keyState{
@@ -143,9 +165,10 @@ func (a *Arena) state(slot uint32, k overlay.Key) *keyState {
 }
 
 // peek returns node slot's bookkeeping for k without allocating, or nil.
-func (a *Arena) peek(slot uint32, k overlay.Key) *keyState {
+func (a *Arena) peek(slot, owner uint32, k overlay.Key) *keyState {
+	pool := &a.pools[owner]
 	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
+		sl := pool.at(i)
 		if sl.key == k {
 			return &sl.ks
 		}
@@ -155,9 +178,10 @@ func (a *Arena) peek(slot uint32, k overlay.Key) *keyState {
 }
 
 // each visits every key state of node slot.
-func (a *Arena) each(slot uint32, fn func(*keyState)) {
+func (a *Arena) each(slot, owner uint32, fn func(*keyState)) {
+	pool := &a.pools[owner]
 	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
+		sl := pool.at(i)
 		fn(&sl.ks)
 		i = sl.next
 	}

@@ -405,11 +405,12 @@ func NewSimulation(p Params) *Simulation {
 		}
 		s.A = NewArena(p.Nodes, p.Config, s.Router, clock)
 		if s.Shd != nil {
-			// Each shard's nodes read their own shard's clock.
+			// Each shard's nodes read their own shard's clock and
+			// allocate key state from their own slab.
 			for sh := 0; sh < nsh; sh++ {
 				lo := (sh*p.Nodes + nsh - 1) / nsh
 				hi := ((sh+1)*p.Nodes + nsh - 1) / nsh
-				s.A.SetClockRange(lo, hi, s.Shd.Shard(sh).Now)
+				s.A.SetShardRange(lo, hi, s.Shd.Shard(sh).Now)
 			}
 		}
 		if p.Observer != nil {
@@ -877,11 +878,15 @@ func (s *Simulation) deliverLocal(nid overlay.NodeID, k overlay.Key, entries []c
 		c.MissesServed++
 	}
 	delete(pend, pk)
-	for _, w := range s.lookups[pk] {
-		w.done = true
-		w.entries = entries
+	// Only Lookup adds waiters, and only on the single-heap scheduler:
+	// parallel shard windows must read the shared map, never delete.
+	if ws := s.lookups[pk]; ws != nil {
+		for _, w := range ws {
+			w.done = true
+			w.entries = entries
+		}
+		delete(s.lookups, pk)
 	}
-	delete(s.lookups, pk)
 }
 
 // SetCapacityFraction applies a reduced outgoing update capacity to a set

@@ -169,10 +169,12 @@ type Node struct {
 	local *cache.Store
 
 	// keys backs per-key state for standalone nodes; nil when a (the
-	// arena) owns the state, with slot the node's dense handle.
-	keys map[overlay.Key]*keyState
-	a    *Arena
-	slot uint32
+	// arena) owns the state, with slot the node's dense handle and owner
+	// the index of the arena slab holding its key state.
+	keys  map[overlay.Key]*keyState
+	a     *Arena
+	slot  uint32
+	owner uint32
 
 	stats  NodeStats
 	qidSeq uint64
@@ -243,7 +245,7 @@ func (n *Node) Capacity() float64 { return n.capacityFraction }
 // state returns (allocating if needed) the bookkeeping for k.
 func (n *Node) state(k overlay.Key) *keyState {
 	if n.a != nil {
-		return n.a.state(n.slot, k)
+		return n.a.state(n.slot, n.owner, k)
 	}
 	ks := n.keys[k]
 	if ks == nil {
@@ -260,7 +262,7 @@ func (n *Node) state(k overlay.Key) *keyState {
 // peek returns the bookkeeping for k without allocating, or nil.
 func (n *Node) peek(k overlay.Key) *keyState {
 	if n.a != nil {
-		return n.a.peek(n.slot, k)
+		return n.a.peek(n.slot, n.owner, k)
 	}
 	return n.keys[k]
 }
@@ -269,7 +271,7 @@ func (n *Node) peek(k overlay.Key) *keyState {
 // must not depend on it for observable output).
 func (n *Node) eachState(fn func(*keyState)) {
 	if n.a != nil {
-		n.a.each(n.slot, fn)
+		n.a.each(n.slot, n.owner, fn)
 		return
 	}
 	//cup:unordered callers commute across keys (per-key set filtering and commutative stat increments)

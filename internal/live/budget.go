@@ -43,7 +43,7 @@ func TrialInboxDepth(base, concurrent int) int {
 }
 
 // DefaultPortBudget caps the loopback listeners all concurrently
-// running TCP networks may hold in total. One TCPNetwork takes one
+// running TCP networks may hold in total. One TCP network takes one
 // listener per peer; without a shared budget, parallel trial sweeps of
 // TCP deployments would race the kernel's ephemeral-port range and fail
 // with unhelpful bind errors mid-sweep instead of a clear rejection up

@@ -1,18 +1,19 @@
-// Runtime membership churn (§2.9) for the live transports. The same
+// Runtime membership churn (§2.9) for the live network. The same
 // hand-over choreography the discrete-event driver performs in
 // internal/cup/churn.go — overlay re-knit, index hand-over, interest
 // bit-vector patching — executed against running peer goroutines: a
 // join spawns a live peer and hands it the index entries that now hash
 // into its region; a leave collects the departing peer's directory,
 // retires its goroutine (inbox drained), and reinstalls the entries at
-// each key's new authority. Both networks (goroutine and TCP) share the
-// choreography through the churnHost surface below.
+// each key's new authority. The choreography is written once against
+// Network; the link only attaches and retires the peer's transport.
 package live
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cup/internal/cache"
 	"cup/internal/cup"
@@ -100,46 +101,21 @@ func (l *lockedOverlay) memberAlive(id overlay.NodeID) bool {
 	return true
 }
 
-// churnHost is what the shared §2.9 choreography needs from a live
-// network: overlay and router access, per-node protocol control on the
-// owning goroutine, and member lifecycle hooks.
-type churnHost interface {
-	// lov is the network's locked overlay.
-	lov() *lockedOverlay
-	// invalidateRoutes drops the router's memoized routes.
-	invalidateRoutes()
-	// slots is the number of peer slots ever allocated (dense IDs).
-	slots() int
-	// aliveSlot reports whether peer id exists and has not departed.
-	aliveSlot(id overlay.NodeID) bool
-	// spawnMember creates and starts peer id (== slots() at call time).
-	spawnMember(id overlay.NodeID) error
-	// retireMember collects peer id's local directory and retires its
-	// goroutine: the peer stops applying protocol state changes and its
-	// inbox drains.
-	retireMember(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error)
-	// controlNode runs fn on peer id's goroutine with exclusive access
-	// to its protocol state.
-	controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error
-	// emitMembership publishes a §2.9 membership event.
-	emitMembership(kind cup.EventKind, id overlay.NodeID)
-	// countChurn bumps the join/leave stat counters.
-	countChurn(join bool)
-}
-
 // errStaticOverlay is the descriptive unsupported-churn failure: the
 // scenario runner surfaces it instead of dropping the scripted event.
 func errStaticOverlay(kind string) error {
 	return fmt.Errorf("live: membership churn unsupported: overlay %q is static (§2.9 needs a dynamic substrate such as can or kademlia)", kind)
 }
 
-// churnJoin is §2.9 Arrivals on a live network: the substrate wires the
-// newcomer in under the overlay write lock, a fresh peer goroutine
-// spawns, previous owners hand over the index entries that now hash
-// into the joiner's region, and every node whose neighbor set changed
-// patches its interest bit vector.
-func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
-	l := h.lov()
+// Join adds one peer to the running network (§2.9 arrivals): the
+// substrate wires the newcomer in under the overlay write lock, a fresh
+// peer attaches to the link and starts its goroutine, previous owners
+// hand over the index entries that now hash into the joiner's region,
+// and every node whose neighbor set changed patches its interest bit
+// vector. Returns the new node's ID, or a descriptive error when the
+// overlay substrate is static.
+func (n *Network) Join(ctx context.Context) (overlay.NodeID, error) {
+	l := n.ov
 	d := l.dynamic()
 	if d == nil {
 		return 0, errStaticOverlay(l.kind)
@@ -150,15 +126,14 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 	l.mu.Lock()
 	id := d.JoinRand(l.rng)
 	l.mu.Unlock()
-	h.invalidateRoutes()
-	if int(id) != h.slots() {
-		panic(fmt.Sprintf("live: overlay issued id %v, expected %d", id, h.slots()))
+	n.router.Invalidate()
+	if int(id) != n.Size() {
+		panic(fmt.Sprintf("live: overlay issued id %v, expected %d", id, n.Size()))
 	}
-	if err := h.spawnMember(id); err != nil {
+	if err := n.spawnMember(id); err != nil {
 		return 0, err
 	}
-	h.emitMembership(cup.EvNodeJoined, id)
-	h.countChurn(true)
+	n.membershipChanged(cup.EvNodeJoined, id)
 
 	// Hand-over: every previous member's local directory sheds the
 	// entries whose keys now hash to the joiner. Ownership checks read
@@ -166,12 +141,12 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 	// churn mutex (held here) keeps membership stable meanwhile.
 	for m := 0; m < int(id); m++ {
 		from := overlay.NodeID(m)
-		if !h.aliveSlot(from) {
+		if !n.IsAlive(from) {
 			continue
 		}
 		var moved []cache.Entry
-		err := h.controlNode(ctx, from, func(n *cup.Node) {
-			dir := n.LocalDirectory()
+		err := n.control(ctx, from, func(p *peer) {
+			dir := p.node.LocalDirectory()
 			if dir.Len() == 0 {
 				return
 			}
@@ -182,7 +157,7 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 				moved = append(moved, dir.All(k)...)
 			}
 			for _, e := range moved {
-				n.RemoveLocal(e.Key, e.Replica)
+				p.node.RemoveLocal(e.Key, e.Replica)
 			}
 		})
 		if err != nil {
@@ -191,35 +166,32 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 		if len(moved) == 0 {
 			continue
 		}
-		if err := h.controlNode(ctx, id, func(n *cup.Node) {
-			for _, e := range moved {
-				n.InstallLocal(e)
-			}
-		}); err != nil {
+		if err := n.installAt(ctx, id, moved); err != nil {
 			return id, fmt.Errorf("live: join hand-over to %v: %w", id, err)
 		}
 	}
-	rev := reverseNeighbors(h)
-	if err := patchNeighborhood(ctx, h, rev, append(rev[id], id)); err != nil {
+	rev := n.reverseNeighbors()
+	if err := n.patchNeighborhood(ctx, rev, append(rev[id], id)); err != nil {
 		return id, err
 	}
 	return id, nil
 }
 
-// churnLeave is §2.9 Departures: the victim's directory is collected
+// Leave retires peer id (§2.9 departures): its directory is collected
 // and its goroutine retired (inbox drained), the substrate re-knits
 // around the gap, each collected entry moves to its key's new
 // authority, and every node that routed through the victim patches its
-// interest bits.
-func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
-	l := h.lov()
+// interest bits. Errors on a static overlay, an unknown or
+// already-departed node, or the last member.
+func (n *Network) Leave(ctx context.Context, victim overlay.NodeID) error {
+	l := n.ov
 	d := l.dynamic()
 	if d == nil {
 		return errStaticOverlay(l.kind)
 	}
 	l.churnMu.Lock()
 	defer l.churnMu.Unlock()
-	if !h.aliveSlot(victim) || !l.memberAlive(victim) {
+	if !n.IsAlive(victim) || !l.memberAlive(victim) {
 		return fmt.Errorf("live: leave of node %v: not a live member", victim)
 	}
 	if l.Size() <= 1 {
@@ -228,9 +200,9 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 
 	// Channel peers before the re-knit: nodes that list the victim plus
 	// the nodes it lists (neighbor relations may be asymmetric).
-	affected := append(reverseNeighbors(h)[victim], l.Neighbors(victim)...)
+	affected := append(n.reverseNeighbors()[victim], l.Neighbors(victim)...)
 
-	entries, err := h.retireMember(ctx, victim)
+	entries, err := n.retireMember(ctx, victim)
 	if err != nil {
 		return fmt.Errorf("live: leave of node %v: %w", victim, err)
 	}
@@ -238,7 +210,7 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 	l.mu.Lock()
 	heir := d.Leave(victim)
 	l.mu.Unlock()
-	h.invalidateRoutes()
+	n.router.Invalidate()
 
 	// Hand the departed node's portion of the global index to each
 	// key's new authority (the paper's hand-over alternative, which
@@ -248,35 +220,82 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 		byOwner[l.Owner(e.Key)] = append(byOwner[l.Owner(e.Key)], e)
 	}
 	for to, moved := range byOwner {
-		if err := h.controlNode(ctx, to, func(n *cup.Node) {
-			for _, e := range moved {
-				n.InstallLocal(e)
-			}
-		}); err != nil {
+		if err := n.installAt(ctx, to, moved); err != nil {
 			return fmt.Errorf("live: leave hand-over to %v: %w", to, err)
 		}
 	}
-	if err := patchNeighborhood(ctx, h, reverseNeighbors(h), append(affected, heir)); err != nil {
+	if err := n.patchNeighborhood(ctx, n.reverseNeighbors(), append(affected, heir)); err != nil {
 		return err
 	}
-	h.emitMembership(cup.EvNodeLeft, victim)
-	h.countChurn(false)
+	n.membershipChanged(cup.EvNodeLeft, victim)
 	return nil
+}
+
+// retireMember collects peer id's local directory and retires it: its
+// goroutine stops applying protocol state changes, its inbox drains,
+// and the link disconnects it.
+func (n *Network) retireMember(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error) {
+	p := n.peerAt(id)
+	var entries []cache.Entry
+	err := n.control(ctx, id, func(p *peer) {
+		dir := p.node.LocalDirectory()
+		for _, k := range dir.Keys() {
+			entries = append(entries, dir.All(k)...)
+			dir.RemoveKey(k)
+		}
+		p.departing = true
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Wait for the goroutine to acknowledge (gone closes) so later
+	// aliveness checks — and the hand-over that follows — observe the
+	// departure.
+	select {
+	case <-p.gone:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-n.closed:
+		return nil, ErrClosed
+	}
+	n.link.retire(p)
+	return entries, nil
+}
+
+// installAt installs handed-over index entries at node id.
+func (n *Network) installAt(ctx context.Context, id overlay.NodeID, entries []cache.Entry) error {
+	return n.control(ctx, id, func(p *peer) {
+		for _, e := range entries {
+			p.node.InstallLocal(e)
+		}
+	})
+}
+
+// membershipChanged publishes a §2.9 membership event and counts it.
+func (n *Network) membershipChanged(kind cup.EventKind, id overlay.NodeID) {
+	if n.cfg.Observer != nil {
+		n.cfg.Observer.OnEvent(cup.Event{Kind: kind, Time: n.now(), Node: id, Peer: overlay.NoNode})
+	}
+	if kind == cup.EvNodeJoined {
+		atomic.AddUint64(&n.stats.Joins, 1)
+	} else {
+		atomic.AddUint64(&n.stats.Leaves, 1)
+	}
 }
 
 // reverseNeighbors builds the reverse adjacency of the current overlay
 // in one sweep: for each node, the alive nodes that list it as a
 // neighbor. Computed once per membership event and shared, as in the
 // simulator's churn handlers.
-func reverseNeighbors(h churnHost) map[overlay.NodeID][]overlay.NodeID {
-	l := h.lov()
-	rev := make(map[overlay.NodeID][]overlay.NodeID, h.slots())
-	for m := 0; m < h.slots(); m++ {
+func (n *Network) reverseNeighbors() map[overlay.NodeID][]overlay.NodeID {
+	size := n.Size()
+	rev := make(map[overlay.NodeID][]overlay.NodeID, size)
+	for m := 0; m < size; m++ {
 		mm := overlay.NodeID(m)
-		if !h.aliveSlot(mm) {
+		if !n.IsAlive(mm) {
 			continue
 		}
-		for _, nb := range l.Neighbors(mm) {
+		for _, nb := range n.ov.Neighbors(mm) {
 			rev[nb] = append(rev[nb], mm)
 		}
 	}
@@ -287,17 +306,16 @@ func reverseNeighbors(h churnHost) map[overlay.NodeID][]overlay.NodeID {
 // peers for the affected nodes — each patch runs on the owning peer's
 // goroutine, so it serializes with that peer's protocol work exactly
 // like any other message.
-func patchNeighborhood(ctx context.Context, h churnHost, rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) error {
-	l := h.lov()
+func (n *Network) patchNeighborhood(ctx context.Context, rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) error {
 	seen := make(map[overlay.NodeID]bool, len(nodes))
 	for _, id := range nodes {
-		if seen[id] || !h.aliveSlot(id) {
+		if seen[id] || !n.IsAlive(id) {
 			continue
 		}
 		seen[id] = true
-		peers := append(l.Neighbors(id), rev[id]...)
-		if err := h.controlNode(ctx, id, func(n *cup.Node) {
-			n.PatchNeighbors(peers)
+		peers := append(n.ov.Neighbors(id), rev[id]...)
+		if err := n.control(ctx, id, func(p *peer) {
+			p.node.PatchNeighbors(peers)
 		}); err != nil {
 			return fmt.Errorf("live: neighborhood patch at %v: %w", id, err)
 		}

@@ -134,8 +134,7 @@ func TestLiveLeaveErrors(t *testing.T) {
 }
 
 func TestLiveChurnStaticOverlayErrors(t *testing.T) {
-	n := NewNetwork(Config{Nodes: 8, Overlay: "chord", HopDelay: 200 * time.Microsecond, Seed: 5})
-	t.Cleanup(n.Close)
+	n := bootFunc(NewNetwork).startCfg(t, Config{Nodes: 8, Overlay: "chord", HopDelay: 200 * time.Microsecond, Seed: 5})
 	ctx := ctxShort(t)
 	if _, err := n.Join(ctx); err == nil || !strings.Contains(err.Error(), "unsupported") {
 		t.Fatalf("Join on chord: err = %v, want unsupported-churn error", err)
@@ -149,8 +148,7 @@ func TestLiveChurnStaticOverlayErrors(t *testing.T) {
 // regression: NodeChurn on a static-overlay live network must fail the
 // fault replay with a descriptive error instead of silently passing.
 func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
-	n := NewNetwork(Config{Nodes: 8, Overlay: "chord", HopDelay: 200 * time.Microsecond, Seed: 5})
-	t.Cleanup(n.Close)
+	n := bootFunc(NewNetwork).startCfg(t, Config{Nodes: 8, Overlay: "chord", HopDelay: 200 * time.Microsecond, Seed: 5})
 	surf := n.FaultSurface([]overlay.Key{"k"}, 1, time.Hour, rand.New(rand.NewSource(1)))
 	err := n.RunFaults(ctxShort(t), []cup.Fault{cup.NodeChurn{Rounds: 2}}, surf, 0, 0.001, 1000)
 	if err == nil || !strings.Contains(err.Error(), "unsupported") {
@@ -163,7 +161,7 @@ func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
 // changed — the tentpole acceptance criterion.
 func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
 	var joins, leaves atomic.Uint64
-	n := NewNetwork(Config{
+	n := bootFunc(NewNetwork).startCfg(t, Config{
 		Nodes: 12, HopDelay: 200 * time.Microsecond, Seed: 5,
 		Observer: cup.ObserverFunc(func(e cup.Event) {
 			switch e.Kind {
@@ -174,7 +172,6 @@ func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
 			}
 		}),
 	})
-	t.Cleanup(n.Close)
 	keys := []overlay.Key{"a", "b", "c"}
 	for _, k := range keys {
 		n.AddReplica(k, 0, "10.0.0.1", time.Hour)

@@ -1,14 +1,19 @@
 // Package live runs CUP as a real concurrent system: every peer is a
-// goroutine, query channels and update channels are Go channels, and the
-// per-hop network delay is wall-clock time. It drives exactly the same
+// goroutine with its own inbox, and the per-hop network is either Go
+// channels with a wall-clock delay (NewNetwork) or wire-encoded frames
+// over loopback TCP sockets (NewTCPNetwork). It drives exactly the same
 // protocol state machine (internal/cup.Node) as the discrete-event
 // simulator, so the simulated protocol and the deployable one cannot
-// diverge — the transports are interchangeable shells.
+// diverge.
 //
-// This is the runtime the examples and cmd/cuplive use; it is also a
-// demonstration that the paper's node model ("every node maintains two
-// logical channels per neighbor") maps one-to-one onto goroutines and
-// channels.
+// There is one network type. Everything the paper's node model
+// describes — "every node maintains two logical channels per neighbor"
+// — lives in Network and its peers: inboxes, lookups, replica events,
+// membership churn, scenarios. Only moving a message from one peer to
+// another differs between the transports, and that sits behind the
+// small link seam in link.go.
+//
+// This is the runtime the examples and cmd/cuplive use.
 package live
 
 import (
@@ -35,12 +40,13 @@ type Stats struct {
 	Leaves uint64
 }
 
-// Network hosts a set of CUP peers over an overlay.
+// Network hosts a set of CUP peers over an overlay, connected by one
+// link (channels or TCP).
 type Network struct {
 	ov     *lockedOverlay
 	router *cup.OverlayRouter
 	cfg    Config
-	delay  time.Duration
+	link   link
 	start  time.Time
 	// peersMu guards nodes: membership churn appends new peer slots while
 	// traffic pumps and deliveries read them.
@@ -52,7 +58,7 @@ type Network struct {
 	once    sync.Once
 }
 
-type msgKind int
+type msgKind uint8
 
 const (
 	msgQuery msgKind = iota
@@ -61,12 +67,15 @@ const (
 	msgControl
 )
 
+// message is one inbox element. Every peer's inbox is allocated at its
+// full depth up front, so the element stays small: the rarely sent
+// update payload sits behind a pointer instead of inline.
 type message struct {
 	kind   msgKind
 	from   overlay.NodeID
 	key    overlay.Key
 	qid    uint64
-	update cup.Update
+	update *cup.Update // msgUpdate
 	ctrl   func(*peer) // msgControl: run on the peer's goroutine
 }
 
@@ -76,10 +85,11 @@ type peer struct {
 	node  *cup.Node
 	inbox chan message
 	net   *Network
-	// waiters holds the local lookups awaiting an answer, so responses
-	// fan out to every open client connection and cancelled lookups can
-	// deregister instead of leaking.
-	waiters map[overlay.Key][]*lookupWaiter
+	// waiters holds the local lookups awaiting an answer, one buffered(1)
+	// reply channel per open client connection, so responses fan out to
+	// every waiter and cancelled lookups can deregister instead of
+	// leaking.
+	waiters map[overlay.Key][]chan []cache.Entry
 	// gone closes when the peer departs (§2.9): sends to it are dropped
 	// as in-flight losses and lookups at it fail fast. The slot stays in
 	// the nodes slice — IDs are dense and never reused.
@@ -90,12 +100,6 @@ type peer struct {
 	departing bool
 }
 
-// lookupWaiter is one open local client connection. reply is buffered so
-// an answer racing a cancellation never blocks the peer goroutine.
-type lookupWaiter struct {
-	reply chan []cache.Entry
-}
-
 // Config parameterizes a live network.
 type Config struct {
 	// Nodes is the overlay size.
@@ -103,7 +107,9 @@ type Config struct {
 	// Overlay selects the routing substrate by its overlay-registry name:
 	// "can" (default), "chord", or "kademlia".
 	Overlay string
-	// HopDelay is the wall-clock per-hop latency (default 1ms).
+	// HopDelay is the wall-clock per-hop latency of the channel link
+	// (default 1ms). The TCP link ignores it: hops cost real loopback
+	// round trips.
 	HopDelay time.Duration
 	// Node is the per-node protocol configuration (default cup.Defaults()).
 	Node cup.Config
@@ -140,11 +146,33 @@ func (cfg Config) withDefaults() Config {
 }
 
 // NewNetwork builds an overlay of cfg.Nodes peers (a CAN unless
-// cfg.Overlay selects another registered substrate) and starts one
-// goroutine per peer. Callers must Close the network when done.
-func NewNetwork(cfg Config) *Network {
+// cfg.Overlay selects another registered substrate) joined by Go
+// channels with cfg.HopDelay of wall-clock latency per hop, and starts
+// one goroutine per peer. Callers must Close the network when done.
+func NewNetwork(cfg Config) (*Network, error) {
+	return newNetwork(cfg, func(n *Network) (link, error) {
+		return &chanLink{net: n, delay: n.cfg.HopDelay}, nil
+	})
+}
+
+// NewTCPNetwork builds the same network with every peer listening on a
+// 127.0.0.1 ephemeral port: messages are wire-encoded frames over
+// persistent connections. The listeners are drawn from the shared port
+// budget (see budget.go), so concurrent networks fail fast instead of
+// racing the kernel's ephemeral-port range; every error path releases
+// the reservation. Close releases all sockets, goroutines, and the
+// budget reservation.
+func NewTCPNetwork(cfg Config) (*Network, error) {
+	return newNetwork(cfg, func(n *Network) (link, error) {
+		return newTCPLink(n.cfg.Nodes)
+	})
+}
+
+// newNetwork is the one constructor behind both transports: it builds
+// the overlay and the link, then attaches and starts every peer.
+func newNetwork(cfg Config, newLink func(*Network) (link, error)) (*Network, error) {
 	if cfg.Nodes <= 0 {
-		panic("live: Nodes must be positive")
+		return nil, fmt.Errorf("live: need at least one peer, got %d", cfg.Nodes)
 	}
 	cfg = cfg.withDefaults()
 	// The overlay seed derivation is shared with the simulator, so the
@@ -156,36 +184,48 @@ func NewNetwork(cfg Config) *Network {
 		ov:     ov,
 		router: cup.NewOverlayRouter(ov),
 		cfg:    cfg,
-		delay:  cfg.HopDelay,
 		start:  time.Now(),
+		nodes:  make([]*peer, 0, cfg.Nodes),
 		closed: make(chan struct{}),
 	}
 	// Memoized routes go stale under churn; the flag must be set before
 	// any peer goroutine starts, since they read it without a lock.
 	n.router.Dynamic = ov.dynamic() != nil
-	n.nodes = make([]*peer, cfg.Nodes)
-	for i := range n.nodes {
-		id := overlay.NodeID(i)
-		p := n.newPeer(id)
-		n.nodes[i] = p
-		n.wg.Add(1)
-		go p.loop(&n.wg)
+	l, err := newLink(n)
+	if err != nil {
+		return nil, err
 	}
-	return n
+	n.link = l
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := n.spawnMember(overlay.NodeID(i)); err != nil {
+			n.Close()
+			return nil, err
+		}
+	}
+	return n, nil
 }
 
-// newPeer constructs (but does not start) one goroutine-hosted node.
-func (n *Network) newPeer(id overlay.NodeID) *peer {
+// spawnMember constructs peer id (the next dense slot), attaches it to
+// the link, and starts its goroutine.
+func (n *Network) spawnMember(id overlay.NodeID) error {
 	p := &peer{
 		id:      id,
 		node:    cup.NewNode(id, n.cfg.Node, n.router, n.now),
 		inbox:   make(chan message, n.cfg.InboxDepth),
 		net:     n,
-		waiters: make(map[overlay.Key][]*lookupWaiter),
+		waiters: make(map[overlay.Key][]chan []cache.Entry),
 		gone:    make(chan struct{}),
 	}
 	p.node.SetObserver(n.cfg.Observer)
-	return p
+	if err := n.link.attach(p); err != nil {
+		return err
+	}
+	n.peersMu.Lock()
+	n.nodes = append(n.nodes, p)
+	n.peersMu.Unlock()
+	n.wg.Add(1)
+	go p.loop()
+	return nil
 }
 
 // now maps wall time onto the protocol's virtual clock.
@@ -223,19 +263,21 @@ func (n *Network) peerList() []*peer {
 // IsAlive reports whether node id exists and has not departed.
 func (n *Network) IsAlive(id overlay.NodeID) bool {
 	p := n.peerAt(id)
-	if p == nil {
-		return false
-	}
+	return p != nil && !p.isGone()
+}
+
+func (p *peer) isGone() bool {
 	select {
 	case <-p.gone:
-		return false
-	default:
 		return true
+	default:
+		return false
 	}
 }
 
-// HopDelay returns the configured per-hop wall-clock latency.
-func (n *Network) HopDelay() time.Duration { return n.delay }
+// HopDelay returns the link's injected per-hop wall-clock latency: the
+// configured delay on channels, zero on TCP.
+func (n *Network) HopDelay() time.Duration { return n.link.hopDelay() }
 
 // IsClosed reports whether Close has been called.
 func (n *Network) IsClosed() bool {
@@ -266,10 +308,8 @@ func (n *Network) Stats() Stats {
 // lengths are sampled racily, which is fine for a gauge.
 func (n *Network) InboxLoad() (used, capacity int) {
 	for _, p := range n.peerList() {
-		select {
-		case <-p.gone:
+		if p.isGone() {
 			continue
-		default:
 		}
 		used += len(p.inbox)
 		capacity += cap(p.inbox)
@@ -277,35 +317,36 @@ func (n *Network) InboxLoad() (used, capacity int) {
 	return used, capacity
 }
 
-// Close shuts down all peers and waits for their goroutines.
+// Close shuts down all peers, releases the link's resources, and waits
+// for every goroutine.
 func (n *Network) Close() {
-	n.once.Do(func() { close(n.closed) })
+	n.once.Do(func() {
+		close(n.closed)
+		n.link.close()
+	})
 	n.wg.Wait()
 }
 
-// send delivers a message after the per-hop delay. Deliveries racing a
-// Close are dropped, mirroring a network partition at shutdown; sends to
-// a departed peer are dropped as in-flight losses (§2.9).
-func (n *Network) send(to overlay.NodeID, m message) {
-	time.AfterFunc(n.delay, func() {
-		p := n.peerAt(to)
-		if p == nil {
-			return
-		}
-		select {
-		case p.inbox <- m:
-		case <-p.gone:
-		case <-n.closed:
-		}
-	})
+// deliver enqueues an arriving message on the peer's inbox. It gives up
+// (false) when the peer has departed — the message is a §2.9 in-flight
+// loss — or the network is closing, mirroring a partition at shutdown.
+func (p *peer) deliver(m message) bool {
+	select {
+	case p.inbox <- m:
+		return true
+	case <-p.gone:
+		return false
+	case <-p.net.closed:
+		return false
+	}
 }
 
 // loop is the peer goroutine: one message at a time through the protocol
-// state machine, actions dispatched back onto the network. A departing
-// peer switches to the retired state instead of exiting so that control
+// state machine, actions dispatched back onto the link. A departing peer
+// switches to the retired state instead of exiting so that control
 // messages racing the departure always complete.
-func (p *peer) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
+func (p *peer) loop() {
+	defer p.net.wg.Done()
 	for {
 		select {
 		case <-p.net.closed:
@@ -346,7 +387,7 @@ func (p *peer) handle(m message) {
 	case msgQuery:
 		acts = p.node.HandleQuery(m.from, m.key, m.qid)
 	case msgUpdate:
-		acts = p.node.HandleUpdate(m.from, m.update)
+		acts = p.node.HandleUpdate(m.from, *m.update)
 	case msgClearBit:
 		acts = p.node.HandleClearBit(m.from, m.key)
 	case msgControl:
@@ -357,23 +398,25 @@ func (p *peer) handle(m message) {
 }
 
 func (p *peer) dispatch(acts []cup.Action) {
+	l := p.net.link
 	for _, a := range acts {
 		switch a.Kind {
 		case cup.ActSendQuery:
 			atomic.AddUint64(&p.net.stats.QueryMsgs, 1)
-			p.net.send(a.To, message{kind: msgQuery, from: p.id, key: a.Key, qid: a.QueryID})
+			l.send(a.To, message{kind: msgQuery, from: p.id, key: a.Key, qid: a.QueryID})
 		case cup.ActSendUpdate:
 			atomic.AddUint64(&p.net.stats.UpdateMsgs, 1)
-			p.net.send(a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: a.Update})
+			u := a.Update
+			l.send(a.To, message{kind: msgUpdate, from: p.id, update: &u})
 		case cup.ActSendClearBit:
 			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
-			p.net.send(a.To, message{kind: msgClearBit, from: p.id, key: a.Key})
+			l.send(a.To, message{kind: msgClearBit, from: p.id, key: a.Key})
 		case cup.ActDeliverLocal:
 			for _, w := range p.waiters[a.Key] {
-				// Cannot block: reply is buffered(1), owned by exactly one
-				// Lookup, and the waiter leaves the map before a second send
-				// could happen.
-				w.reply <- a.Entries //cup:allowblocking
+				// Cannot block: each reply is buffered(1), owned by exactly
+				// one Lookup, and the waiter leaves the map before a second
+				// send could happen.
+				w <- a.Entries //cup:allowblocking
 			}
 			delete(p.waiters, a.Key)
 		}
@@ -393,24 +436,22 @@ func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key
 	if p == nil {
 		return nil, fmt.Errorf("live: lookup at unknown node %v", id)
 	}
-	w := &lookupWaiter{reply: make(chan []cache.Entry, 1)}
+	reply := make(chan []cache.Entry, 1)
 	ctrl := message{kind: msgControl, ctrl: func(p *peer) {
 		if p.departing {
 			// Departed between the aliveness race and the control's turn:
 			// answer empty rather than strand the waiter.
-			w.reply <- nil //cup:allowblocking (buffered(1), sole send)
+			reply <- nil //cup:allowblocking (buffered(1), sole send)
 			return
 		}
 		acts := p.node.HandleQuery(cup.LocalClient, key, 0)
 		// A synchronous answer arrives as a DeliverLocal action; register
 		// the waiter first so both paths converge.
-		p.waiters[key] = append(p.waiters[key], w)
+		p.waiters[key] = append(p.waiters[key], reply)
 		p.dispatch(acts)
 	}}
-	select {
-	case <-p.gone:
+	if p.isGone() {
 		return nil, fmt.Errorf("live: lookup at departed node %v", id)
-	default:
 	}
 	select {
 	case p.inbox <- ctrl:
@@ -420,13 +461,13 @@ func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key
 		return nil, ErrClosed
 	}
 	select {
-	case entries := <-w.reply:
+	case entries := <-reply:
 		return entries, nil
 	case <-p.gone:
 		// The peer departed with the query open; its state is gone.
 		return nil, fmt.Errorf("live: node %v departed during lookup", id)
 	case <-ctx.Done():
-		n.forgetWaiter(id, key, w)
+		p.forgetWaiter(key, reply)
 		return nil, ctx.Err()
 	case <-n.closed:
 		return nil, ErrClosed
@@ -437,15 +478,11 @@ func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key
 // connection. Best-effort and non-blocking: if the network is shutting
 // down or the inbox is saturated, the buffered reply channel still keeps
 // a late answer from blocking the peer goroutine.
-func (n *Network) forgetWaiter(id overlay.NodeID, key overlay.Key, w *lookupWaiter) {
-	p := n.peerAt(id)
-	if p == nil {
-		return
-	}
+func (p *peer) forgetWaiter(key overlay.Key, reply chan []cache.Entry) {
 	ctrl := message{kind: msgControl, ctrl: func(p *peer) {
 		ws := p.waiters[key]
 		for i, got := range ws {
-			if got == w {
+			if got == reply {
 				p.waiters[key] = append(ws[:i], ws[i+1:]...)
 				break
 			}
@@ -456,7 +493,7 @@ func (n *Network) forgetWaiter(id overlay.NodeID, key overlay.Key, w *lookupWait
 	}}
 	select {
 	case p.inbox <- ctrl:
-	case <-n.closed:
+	case <-p.net.closed:
 	default:
 	}
 }
@@ -579,97 +616,4 @@ func (n *Network) Quiesced(window time.Duration) bool {
 		return true
 	}
 	return n.Stats() == before
-}
-
-// --- runtime membership churn (§2.9) ----------------------------------
-//
-// Network implements churnHost; the choreography itself lives in
-// churn.go and is shared with the TCP transport.
-
-func (n *Network) lov() *lockedOverlay { return n.ov }
-
-func (n *Network) invalidateRoutes() { n.router.Invalidate() }
-
-func (n *Network) slots() int { return n.Size() }
-
-func (n *Network) aliveSlot(id overlay.NodeID) bool { return n.IsAlive(id) }
-
-func (n *Network) spawnMember(id overlay.NodeID) error {
-	p := n.newPeer(id)
-	n.peersMu.Lock()
-	if int(id) != len(n.nodes) {
-		n.peersMu.Unlock()
-		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(n.nodes))
-	}
-	n.nodes = append(n.nodes, p)
-	n.peersMu.Unlock()
-	n.wg.Add(1)
-	go p.loop(&n.wg)
-	return nil
-}
-
-func (n *Network) retireMember(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error) {
-	p := n.peerAt(id)
-	if p == nil {
-		return nil, fmt.Errorf("live: retire of unknown node %v", id)
-	}
-	var entries []cache.Entry
-	err := n.control(ctx, id, func(pp *peer) {
-		dir := pp.node.LocalDirectory()
-		for _, k := range dir.Keys() {
-			entries = append(entries, dir.All(k)...)
-			dir.RemoveKey(k)
-		}
-		pp.departing = true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Wait for the goroutine to acknowledge (gone closes) so later
-	// aliveness checks — and the hand-over that follows — observe the
-	// departure.
-	select {
-	case <-p.gone:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-n.closed:
-		return nil, ErrClosed
-	}
-	return entries, nil
-}
-
-func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
-	return n.control(ctx, id, func(p *peer) { fn(p.node) })
-}
-
-func (n *Network) emitMembership(kind cup.EventKind, id overlay.NodeID) {
-	if n.cfg.Observer == nil {
-		return
-	}
-	n.cfg.Observer.OnEvent(cup.Event{Kind: kind, Time: n.now(), Node: id, Peer: overlay.NoNode})
-}
-
-func (n *Network) countChurn(join bool) {
-	if join {
-		atomic.AddUint64(&n.stats.Joins, 1)
-	} else {
-		atomic.AddUint64(&n.stats.Leaves, 1)
-	}
-}
-
-// Join adds one peer to the running network (§2.9 arrivals): the overlay
-// wires it in, a fresh goroutine starts, previous owners hand over the
-// index entries that now hash into its region, and affected neighbors
-// patch their interest bit vectors. Returns the new node's ID, or a
-// descriptive error when the overlay substrate is static.
-func (n *Network) Join(ctx context.Context) (overlay.NodeID, error) {
-	return churnJoin(ctx, n)
-}
-
-// Leave retires peer id (§2.9 departures): its directory hands over to
-// each key's new authority, its goroutine stops applying protocol state,
-// and nodes that routed through it re-knit. Errors on a static overlay,
-// an unknown or already-departed node, or the last member.
-func (n *Network) Leave(ctx context.Context, id overlay.NodeID) error {
-	return churnLeave(ctx, n, id)
 }
