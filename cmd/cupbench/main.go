@@ -167,7 +167,7 @@ type coreBench struct {
 	// cross-shard reposts.
 	ShardedShards       int     `json:"sharded_shards"`
 	ShardedEventsPerSec float64 `json:"sharded_events_per_sec"`
-	// The million-node scale demonstration: dense-state bytes per node
+	// The million-node scale demonstration: simulated bytes per node
 	// (overlay + arena + views) and the reduced Figure-3-style sweep at
 	// n = 10^6 on the sharded scheduler.
 	BytesPerNode        float64 `json:"bytes_per_node"`

@@ -55,11 +55,14 @@
 //
 // # Compatibility
 //
-// Run(Params) and NewSimulation(Params) remain as thin wrappers over the
-// discrete-event driver for existing callers. Underneath
-// WithTransport(Live) and WithTransport(LiveTCP) sits one live network,
-// live.Network, built over a channel link or a TCP link respectively.
-// New code should use New.
+// New is the only way to build or drive a deployment, and Faults are
+// the only scripted interventions. Params is the resolved configuration,
+// read back from Result.Params. WithDenseState is a deprecated no-op:
+// the simulator always keeps its nodes' state in the struct-of-arrays
+// arena.
+// Underneath WithTransport(Live) and WithTransport(LiveTCP) sits one
+// live network, live.Network, built over a channel link or a TCP link
+// respectively.
 //
 // The protocol core is a pure state machine (Node); both transports drive
 // the same code, so simulation results transfer to the live runtime.
@@ -90,15 +93,11 @@ type (
 	UpdateType = internal.UpdateType
 	// Action is a side effect emitted by the state machine.
 	Action = internal.Action
-	// Params configures a discrete-event simulation run (compatibility
-	// surface; New's options build it internally).
+	// Params is the resolved run configuration New's options build; it
+	// is read back from Result.Params.
 	Params = internal.Params
 	// Result is a finished run's parameters and counters.
 	Result = internal.Result
-	// Simulation is a wired discrete-event CUP deployment.
-	Simulation = internal.Simulation
-	// Hook is a timed intervention into a running simulation.
-	Hook = internal.Hook
 	// Counters aggregates the paper's cost metrics for one run.
 	Counters = metrics.Counters
 	// Limiter is the §2.8 outgoing-update queue controller.
@@ -155,16 +154,8 @@ func Defaults() Config { return internal.Defaults() }
 // Standard returns the expiration-based standard-caching baseline.
 func Standard() Config { return internal.Standard() }
 
-// Run builds and executes one simulation (compatibility wrapper; New +
-// Deployment.Run is the primary path).
-func Run(p Params) *Result { return internal.Run(p) }
-
 // NewLimiter returns an empty §2.8 outgoing-update queue controller.
 func NewLimiter() *Limiter { return internal.NewLimiter() }
-
-// NewSimulation builds a simulation for manual driving (fault injection,
-// custom scheduling) before Run (compatibility wrapper).
-func NewSimulation(p Params) *Simulation { return internal.NewSimulation(p) }
 
 // ChurnCapable reports whether the named overlay kind supports §2.9
 // membership changes.

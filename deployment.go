@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	internal "cup/internal/cup"
@@ -72,6 +73,9 @@ type Deployment struct {
 	// parallelism caps its worker pool (0 = GOMAXPROCS).
 	trials      int
 	parallelism int
+	// trialEvents sums the scheduler events of finished simulated
+	// trials; trials run concurrently on the worker pool.
+	trialEvents atomic.Uint64
 	// liveCfg is the live network configuration New built (or would
 	// build) from the options; live multi-trial sweeps boot one isolated
 	// network per trial from it, varying only the seed and the carved
@@ -141,8 +145,8 @@ func New(opts ...Option) (*Deployment, error) {
 			o.reject("WithShards applies to the simulated transport only")
 		case o.p.Latency != nil:
 			o.reject("WithShards requires a homogeneous hop delay (drop WithLatencyModel: the lookahead is the minimum link delay)")
-		case len(o.p.Faults) > 0 || len(o.p.Hooks) > 0:
-			o.reject("WithShards does not support WithFaults or WithHooks (global interventions break shard isolation)")
+		case len(o.p.Faults) > 0:
+			o.reject("WithShards does not support WithFaults (global interventions break shard isolation)")
 		case o.p.NoWorkload:
 			o.reject("WithShards is batch-only (WithoutWorkload and interactive lookups need the single-heap scheduler)")
 		}
@@ -164,14 +168,9 @@ func New(opts ...Option) (*Deployment, error) {
 	for _, obs := range o.observers {
 		d.detach = append(d.detach, bus.Attach(obs))
 	}
-	// The bus is the node observer on both transports; a user observer
-	// supplied through the compatibility Params.Observer field still
-	// reaches it as an attached tap. d.p carries the bus too, so trial
-	// runs built from it emit their interleaved event streams to the
-	// deployment's observers.
-	if o.p.Observer != nil {
-		d.detach = append(d.detach, bus.Attach(o.p.Observer))
-	}
+	// The bus is the node observer on both transports. d.p carries it
+	// too, so trial runs built from it emit their interleaved event
+	// streams to the deployment's observers.
 	o.p.Observer = bus
 	d.p.Observer = bus
 
@@ -433,7 +432,10 @@ func (d *Deployment) trialWorkers() int {
 func (d *Deployment) runSimTrial(ctx context.Context, trial int) (*Result, error) {
 	p := d.p
 	p.Seed = internal.TrialSeed(d.p.Seed, trial)
-	return internal.NewSimulation(p).RunContext(ctx)
+	s := internal.NewSimulation(p)
+	res, err := s.RunContext(ctx)
+	d.trialEvents.Add(s.EventsExecuted())
+	return res, err
 }
 
 // runLiveTrial is one live trial: an isolated network — goroutine or
@@ -606,13 +608,14 @@ func (d *Deployment) Keys() []Key {
 }
 
 // EventsExecuted reports the discrete events the simulated transport
-// has fired so far (summed across scheduler shards); 0 on the live
-// transport, whose work has no event granularity.
+// has fired so far (summed across scheduler shards), including every
+// trial a WithTrials sweep has run; 0 on the live transport, whose work
+// has no event granularity.
 func (d *Deployment) EventsExecuted() uint64 {
 	if sr, ok := d.rt.(*simRuntime); ok {
 		sr.mu.Lock()
 		defer sr.mu.Unlock()
-		return sr.s.EventsExecuted()
+		return sr.s.EventsExecuted() + d.trialEvents.Load()
 	}
 	return 0
 }

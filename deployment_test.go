@@ -21,6 +21,17 @@ func newDeployment(t *testing.T, opts ...cup.Option) *cup.Deployment {
 	return d
 }
 
+// runDeployment builds a deployment from opts and runs its scripted
+// workload.
+func runDeployment(t *testing.T, opts ...cup.Option) *cup.Result {
+	t.Helper()
+	res, err := newDeployment(t, opts...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := cup.New(cup.WithOverlay("no-such-overlay")); err == nil {
 		t.Error("unknown overlay accepted")
@@ -145,24 +156,6 @@ func TestLiveRunWithoutScenarioErrors(t *testing.T) {
 	d := newDeployment(t, cup.WithTransport(cup.Live), cup.WithNodes(8))
 	if _, err := d.Run(context.Background()); err == nil {
 		t.Fatal("Run on a live deployment without a scenario must error")
-	}
-}
-
-func TestRunMatchesCompatibilityWrapper(t *testing.T) {
-	d := newDeployment(t,
-		cup.WithNodes(64),
-		cup.WithQueryRate(2),
-		cup.WithQueryDuration(300*time.Second),
-		cup.WithSeed(9),
-	)
-	res, err := d.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := cup.Run(cup.Params{Nodes: 64, QueryRate: 2, QueryDuration: 300, Seed: 9})
-	if res.Counters != legacy.Counters {
-		t.Fatalf("options path diverged from Params path:\n new %+v\n old %+v",
-			res.Counters, legacy.Counters)
 	}
 }
 

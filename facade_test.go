@@ -4,12 +4,14 @@ package cup_test
 
 import (
 	"testing"
+	"time"
 
 	"cup"
 )
 
 func TestFacadeRun(t *testing.T) {
-	res := cup.Run(cup.Params{Nodes: 32, QueryRate: 2, QueryDuration: 300, Seed: 1})
+	res := runDeployment(t, cup.WithNodes(32), cup.WithQueryRate(2),
+		cup.WithQueryDuration(300*time.Second), cup.WithSeed(1))
 	if res.Counters.Queries == 0 {
 		t.Fatal("façade run produced no queries")
 	}
@@ -19,29 +21,16 @@ func TestFacadeRun(t *testing.T) {
 }
 
 func TestFacadeStandardVsDefaults(t *testing.T) {
-	p := cup.Params{Nodes: 64, QueryRate: 5, QueryDuration: 600, Seed: 2}
-	p.Config = cup.Standard()
-	std := cup.Run(p)
-	p.Config = cup.Defaults()
-	c := cup.Run(p)
+	base := []cup.Option{cup.WithNodes(64), cup.WithQueryRate(5),
+		cup.WithQueryDuration(600 * time.Second), cup.WithSeed(2)}
+	std := runDeployment(t, append(base, cup.WithConfig(cup.Standard()))...)
+	c := runDeployment(t, append(base, cup.WithConfig(cup.Defaults()))...)
 	if std.Counters.Overhead() != 0 {
 		t.Fatal("standard caching must have zero overhead")
 	}
 	if c.Counters.MissCost() >= std.Counters.MissCost() {
 		t.Fatalf("CUP miss cost %d not below standard %d",
 			c.Counters.MissCost(), std.Counters.MissCost())
-	}
-}
-
-func TestFacadeSimulationHooks(t *testing.T) {
-	fired := false
-	s := cup.NewSimulation(cup.Params{
-		Nodes: 16, QueryRate: 1, QueryDuration: 120, Seed: 3,
-		Hooks: []cup.Hook{{At: 350, Fn: func(*cup.Simulation) { fired = true }}},
-	})
-	s.Run()
-	if !fired {
-		t.Fatal("hook never fired")
 	}
 }
 

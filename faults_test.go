@@ -1,8 +1,6 @@
 // Behavioral coverage of the public fault scripts — cup.CapacityFault,
 // cup.NodeChurn, cup.ReplicaChurn, and the cup.FlashCrowd surge —
-// through cup.New/WithFaults/WithTraffic. Ported from the deleted
-// internal/workload shim's tests, which exercised the same scripts
-// through the pre-Scenario Hook surface.
+// through cup.New/WithFaults/WithTraffic.
 package cup_test
 
 import (
@@ -152,7 +150,7 @@ func TestFaultsComposeWithTraffic(t *testing.T) {
 }
 
 // CUP keeps beating standard caching under continuous node churn
-// (§2.9), the property the deleted shim pinned through Hooks.
+// (§2.9).
 func TestNodeChurnKeepsCUPWinning(t *testing.T) {
 	churn := cup.NodeChurn{At: 400, Period: 60, Rounds: 10}
 	churned, _ := runFaulted(t, cup.WithFaults(churn))

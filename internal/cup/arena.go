@@ -43,15 +43,17 @@ func (p *arenaPool) alloc() int32 {
 	return i
 }
 
-// Arena is the struct-of-arrays backing store for simulation-scale node
-// populations: all Node structs in one slice (dense uint32 handles ==
-// overlay IDs), cache stores by value in parallel slices, per-key state
-// in chunked slabs threaded per node, and one shared nodeEnv instead of
-// per-node Config/Router copies. At n=10⁶ this is the difference between
-// ~150 bytes of resident state per untouched node and the standalone
-// representation's four heap objects (Node, two Stores, keys map) before
-// any traffic arrives. Behavior is identical to standalone nodes; the
-// *Node API is a thin view over the arrays.
+// Arena is the struct-of-arrays backing store of every simulation's
+// initial node population: all Node structs in one slice (dense uint32
+// handles == overlay IDs), cache stores by value in parallel slices,
+// per-key state in chunked slabs threaded per node, and one shared
+// nodeEnv instead of per-node Config/Router copies. At n=10⁶ this is the
+// difference between ~150 bytes of resident state per untouched node and
+// the standalone representation's four heap objects (Node, two Stores,
+// keys map) before any traffic arrives. A key lookup walks the node's
+// key list, which suits the simulator's few keys per node; nodes that
+// hold many keys (live peers) stay standalone. Behavior is identical to
+// standalone nodes; the *Node API is a thin view over the arrays.
 type Arena struct {
 	env    nodeEnv
 	nodes  []Node

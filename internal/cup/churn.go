@@ -9,7 +9,7 @@ import (
 
 // This file implements §2.9 — node arrivals and departures — for the
 // discrete-event driver. Churn is supported on any substrate exposing the
-// dynamicOverlay capability below: the CAN (zones split on join and are
+// DynamicOverlay capability below: the CAN (zones split on join and are
 // absorbed by a neighbor on departure) and Kademlia (buckets re-knit
 // around the changed membership). On every membership change the routing
 // memo is invalidated, the affected nodes' interest bit vectors are
@@ -17,11 +17,13 @@ import (
 // index is handed over per key to its new authority (the paper's
 // hand-over alternative, which avoids restarting update propagation).
 
-// dynamicOverlay is the churn capability: membership queries plus uniform
-// join/leave hooks. Any overlay implementing it — including future kinds
-// added through the registry — gets JoinNode/LeaveNode for free; a static
-// overlay (Chord) does not satisfy it.
-type dynamicOverlay interface {
+// DynamicOverlay is the §2.9 churn capability of an overlay substrate:
+// membership queries plus uniform join/leave operations. Any overlay
+// implementing it — including future kinds added through the registry —
+// gets churn on both transports (the simulator's JoinNode/LeaveNode, the
+// live network's Join/Leave); a static overlay (Chord) does not satisfy
+// it.
+type DynamicOverlay interface {
 	overlay.Overlay
 	// Alive reports whether n is currently a member.
 	Alive(overlay.NodeID) bool
@@ -34,8 +36,8 @@ type dynamicOverlay interface {
 
 // dyn returns the overlay as a dynamic substrate, or nil when the run
 // uses a static one.
-func (s *Simulation) dyn() dynamicOverlay {
-	d, _ := s.Ov.(dynamicOverlay)
+func (s *Simulation) dyn() DynamicOverlay {
+	d, _ := s.Ov.(DynamicOverlay)
 	return d
 }
 
@@ -51,7 +53,7 @@ func ChurnCapable(kind string) bool {
 	if err != nil {
 		return false
 	}
-	_, ok := ov.(dynamicOverlay)
+	_, ok := ov.(DynamicOverlay)
 	return ok
 }
 

@@ -32,6 +32,29 @@ func TestJoinNodeGrowsMembership(t *testing.T) {
 	}
 }
 
+// The simulator builds its initial nodes one way, in the arena; only a
+// §2.9 joiner, born after the arena is sized, is a standalone node.
+func TestSimulationArenaBackedJoinerStandalone(t *testing.T) {
+	s := NewSimulation(churnParams())
+	n := len(s.Nodes)
+	if s.A == nil || s.A.Len() != n {
+		t.Fatalf("default simulation not arena-backed: arena %v, %d nodes", s.A, n)
+	}
+	for i, node := range s.Nodes {
+		if node != s.A.Node(i) {
+			t.Fatalf("node %d is not the arena's view", i)
+		}
+	}
+	id := s.JoinNode()
+	if int(id) != n || len(s.Nodes) != n+1 || s.A.Len() != n {
+		t.Fatalf("join: id %v, %d nodes, arena %d; want id %d, %d nodes, arena %d",
+			id, len(s.Nodes), s.A.Len(), n, n+1, n)
+	}
+	if j := s.Nodes[id]; j.a != nil || j.keys == nil || j.ID() != id {
+		t.Fatalf("joiner %v is not a standalone node", id)
+	}
+}
+
 func TestLeaveNodeHandsOverAuthority(t *testing.T) {
 	s := NewSimulation(churnParams())
 	k := s.Keys[0]

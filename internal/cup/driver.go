@@ -77,9 +77,6 @@ type Params struct {
 	// Faults are scripted interventions (capacity loss, churn) expanded
 	// against the transport-agnostic FaultSurface; see scenario.go.
 	Faults []Fault
-	// Hooks run at fixed virtual times (compatibility surface predating
-	// Faults; still the escape hatch for arbitrary interventions).
-	Hooks []Hook
 	// Observer, when set, receives the protocol event stream (see Event);
 	// it is installed on every node and also carries the transport-level
 	// membership events emitted by §2.9 churn.
@@ -89,26 +86,21 @@ type Params struct {
 	// idle and is driven interactively through PublishReplica and Lookup,
 	// exactly like a live network. The façade's client API uses this.
 	NoWorkload bool
-	// DenseState backs node state with the struct-of-arrays arena
-	// (internal/cup.Arena) instead of per-node heap objects: identical
-	// behavior, a fraction of the memory and pointer traffic. Implied by
-	// Shards > 1; worth setting explicitly for big single-shard runs.
+	// DenseState is ignored: the simulator always backs its initial
+	// nodes with the struct-of-arrays arena.
+	//
+	// Deprecated: every simulation is arena-backed.
 	DenseState bool
 	// Shards > 1 partitions the node population into contiguous blocks,
 	// each driven by its own event heap under conservative time-window
 	// synchronization (lookahead = HopDelay, the minimum link delay).
+	// Each shard's nodes allocate key state from their own arena slab.
 	// Sharded runs require the homogeneous-delay open-loop subset of the
-	// simulator: Latency, Hooks, Faults, NoWorkload, and interactive
-	// Lookup are rejected. Output is deterministic for a fixed shard
-	// count, but event interleaving — and so float accumulation order —
-	// differs from the single-heap schedule.
+	// simulator: Latency, Faults, NoWorkload, and interactive Lookup are
+	// rejected. Output is deterministic for a fixed shard count, but
+	// event interleaving — and so float accumulation order — differs
+	// from the single-heap schedule.
 	Shards int
-}
-
-// Hook is a scheduled intervention into a running simulation.
-type Hook struct {
-	At sim.Time
-	Fn func(*Simulation)
 }
 
 // LatencyModel yields per-link one-way latencies (internal/netmodel
@@ -192,7 +184,8 @@ type Simulation struct {
 	Keys   []overlay.Key
 	C      metrics.Counters
 
-	// A backs the nodes when P.DenseState (nil for map-based nodes).
+	// A backs the initial P.Nodes nodes; nodes added later by JoinNode
+	// are standalone.
 	A *Arena
 	// Cs are the per-shard counter slabs of a sharded run, folded into C
 	// at the end; each shard's handlers touch only their own slab, so
@@ -348,7 +341,8 @@ type pendKey struct {
 	key  overlay.Key
 }
 
-// NewSimulation builds the overlay, nodes, replicas, workload, and hooks.
+// NewSimulation builds the overlay, the arena-backed nodes, replicas,
+// workload, and fault schedule.
 func NewSimulation(p Params) *Simulation {
 	p = p.WithDefaults()
 	nsh := p.Shards
@@ -356,12 +350,11 @@ func NewSimulation(p Params) *Simulation {
 		nsh = 1
 	}
 	if nsh > 1 {
-		p.DenseState = true
 		switch {
 		case p.Latency != nil:
 			panic("cup: sharded simulation requires homogeneous HopDelay (Latency must be nil: the lookahead is the minimum link delay)")
-		case len(p.Hooks) > 0 || len(p.Faults) > 0:
-			panic("cup: sharded simulation does not support Hooks or Faults (global interventions break shard isolation)")
+		case len(p.Faults) > 0:
+			panic("cup: sharded simulation does not support Faults (global interventions break shard isolation)")
 		case p.NoWorkload:
 			panic("cup: sharded simulation is batch-only (NoWorkload/interactive runs need the single-heap scheduler)")
 		case p.HopDelay <= 0:
@@ -397,33 +390,24 @@ func NewSimulation(p Params) *Simulation {
 	}
 	s.Ov = ov
 	s.Router = NewOverlayRouter(s.Ov)
+	clock := s.Now
+	if s.Sched != nil {
+		clock = s.Sched.Now
+	}
+	s.A = NewArena(p.Nodes, p.Config, s.Router, clock)
+	if s.Shd != nil {
+		// Each shard's nodes read their own shard's clock and allocate
+		// key state from their own slab.
+		for sh := 0; sh < nsh; sh++ {
+			lo := (sh*p.Nodes + nsh - 1) / nsh
+			hi := ((sh+1)*p.Nodes + nsh - 1) / nsh
+			s.A.SetShardRange(lo, hi, s.Shd.Shard(sh).Now)
+		}
+	}
+	s.A.SetObserver(p.Observer)
 	s.Nodes = make([]*Node, p.Nodes)
-	if p.DenseState {
-		clock := s.Now
-		if s.Sched != nil {
-			clock = s.Sched.Now
-		}
-		s.A = NewArena(p.Nodes, p.Config, s.Router, clock)
-		if s.Shd != nil {
-			// Each shard's nodes read their own shard's clock and
-			// allocate key state from their own slab.
-			for sh := 0; sh < nsh; sh++ {
-				lo := (sh*p.Nodes + nsh - 1) / nsh
-				hi := ((sh+1)*p.Nodes + nsh - 1) / nsh
-				s.A.SetShardRange(lo, hi, s.Shd.Shard(sh).Now)
-			}
-		}
-		if p.Observer != nil {
-			s.A.SetObserver(p.Observer)
-		}
-		for i := range s.Nodes {
-			s.Nodes[i] = s.A.Node(i)
-		}
-	} else {
-		for i := range s.Nodes {
-			s.Nodes[i] = NewNode(overlay.NodeID(i), p.Config, s.Router, s.Sched.Now)
-			s.Nodes[i].SetObserver(p.Observer)
-		}
+	for i := range s.Nodes {
+		s.Nodes[i] = s.A.Node(i)
 	}
 	s.Keys = make([]overlay.Key, p.Keys)
 	for i := range s.Keys {
@@ -459,10 +443,6 @@ func NewSimulation(p Params) *Simulation {
 		}
 	}
 
-	for _, h := range p.Hooks {
-		h := h
-		s.Sched.At(h.At, func() { h.Fn(s) })
-	}
 	for _, f := range p.Faults {
 		name := f.Name()
 		for _, ev := range f.Schedule(float64(p.QueryStart), float64(p.QueryDuration)) {

@@ -146,11 +146,13 @@ type nodeEnv struct {
 // Node is the CUP protocol state machine for one peer. It is not safe for
 // concurrent use; the live runtime serializes access per node.
 //
-// Nodes come in two storage flavors with identical behavior: standalone
-// (NewNode — per-key state in a private map, used by the live transport
-// and tests) and arena-backed (NewArena — per-key state in the arena's
-// struct-of-arrays pool, dense uint32 handles, used by the simulator at
-// scale). The pointer-based API is the same thin view over both.
+// Nodes come in two storage flavors with identical behavior. Arena-backed
+// nodes (NewArena — per-key state in the arena's struct-of-arrays pool,
+// dense uint32 handles) are every simulation's initial population.
+// Standalone nodes (NewNode — per-key state in a private map) are the
+// ones born one at a time: live peers, which may hold hundreds of keys
+// each, and §2.9 joiners of a simulation. The pointer-based API is the
+// same thin view over both.
 type Node struct {
 	id  overlay.NodeID
 	env *nodeEnv

@@ -22,24 +22,6 @@ func paperParams(kind string) Params {
 	}
 }
 
-// The struct-of-arrays arena must be invisible: for every overlay, the
-// dense-state run reproduces the map-based run's counters bit for bit —
-// same event schedule, same RNG draws, same float accumulation order.
-func TestDenseStateBitIdentical(t *testing.T) {
-	for _, kind := range overlay.Kinds() {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			base := Run(paperParams(kind)).Counters
-			p := paperParams(kind)
-			p.DenseState = true
-			dense := Run(p).Counters
-			if base != dense {
-				t.Errorf("dense state drifted from map-based nodes:\n map   %+v\n dense %+v", base, dense)
-			}
-		})
-	}
-}
-
 // eqModuloFloatOrder reports whether two counter sets agree exactly on
 // every integer field and within accumulation-order slack on the one
 // float field. Sharding reorders commutative float additions (per-shard
@@ -108,8 +90,8 @@ func TestShardedRejectsIncompatibleParams(t *testing.T) {
 
 	p = paperParams("can")
 	p.Shards = 2
-	p.Hooks = []Hook{{At: 1, Fn: func(*Simulation) {}}}
-	mustPanic("Hooks", p)
+	p.Faults = []Fault{CapacityFault{Capacity: 0.5}}
+	mustPanic("Faults", p)
 }
 
 // Regression for the issuedAt approximation: under standard caching,

@@ -21,13 +21,12 @@ var MillionPushLevels = []int{0, 10, 20}
 
 // millionOpts builds one million-node cell: Chord (the only bundled
 // overlay with O(n log n) construction — CAN and Kademlia build their
-// neighborhoods quadratically), dense struct-of-arrays node state, and
-// the sharded conservative-window scheduler when sc.Shards > 1.
+// neighborhoods quadratically) and the sharded conservative-window
+// scheduler when sc.Shards > 1.
 func millionOpts(sc Scale, level int) []cup.Option {
 	opts := []cup.Option{
 		cup.WithNodes(MillionNodes),
 		cup.WithOverlay("chord"),
-		cup.WithDenseState(),
 		// Aggregate λ = 100 q/s over the 600 s window: 60k queries is
 		// enough routed traffic for a meaningful events/s figure while
 		// keeping each cell's event count far below the overlay build
@@ -106,7 +105,7 @@ func MillionSweep(sc Scale) *metrics.Table {
 	return MillionRun(sc).Table
 }
 
-// Footprint builds (but does not run) an n-node dense-state deployment
+// Footprint builds (but does not run) an n-node simulated deployment
 // and reports its steady heap cost in bytes per node — overlay, router,
 // arena, and node views included. The measurement brackets the build
 // with forced collections, so transient construction garbage does not
@@ -118,7 +117,6 @@ func Footprint(n int) float64 {
 	d, err := cup.New(
 		cup.WithNodes(n),
 		cup.WithOverlay("chord"),
-		cup.WithDenseState(),
 		cup.WithoutWorkload(),
 	)
 	if err != nil {

@@ -21,20 +21,6 @@ import (
 	"cup/internal/sim"
 )
 
-// dynamicOverlay is the churn capability, mirroring the simulator's
-// (internal/cup): membership queries plus uniform join/leave hooks. CAN
-// and Kademlia implement it; a static substrate (Chord) does not.
-type dynamicOverlay interface {
-	overlay.Overlay
-	// Alive reports whether n is currently a member.
-	Alive(overlay.NodeID) bool
-	// JoinRand adds one node, drawing any placement randomness from rnd,
-	// and returns its dense ID (which must equal the previous size).
-	JoinRand(rnd *sim.Rand) overlay.NodeID
-	// Leave removes n and returns the heir that takes over its region.
-	Leave(n overlay.NodeID) overlay.NodeID
-}
-
 // lockedOverlay makes one overlay safe for concurrent routing reads
 // from peer goroutines while membership mutations happen: reads
 // (Owner, NextHop, Neighbors, Size) take the read lock, a churn
@@ -85,8 +71,8 @@ func (l *lockedOverlay) Neighbors(n overlay.NodeID) []overlay.NodeID {
 
 // dynamic returns the wrapped substrate's churn capability, nil when it
 // is static.
-func (l *lockedOverlay) dynamic() dynamicOverlay {
-	d, _ := l.ov.(dynamicOverlay)
+func (l *lockedOverlay) dynamic() cup.DynamicOverlay {
+	d, _ := l.ov.(cup.DynamicOverlay)
 	return d
 }
 
@@ -95,7 +81,7 @@ func (l *lockedOverlay) dynamic() dynamicOverlay {
 func (l *lockedOverlay) memberAlive(id overlay.NodeID) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if d, ok := l.ov.(dynamicOverlay); ok {
+	if d, ok := l.ov.(cup.DynamicOverlay); ok {
 		return d.Alive(id)
 	}
 	return true

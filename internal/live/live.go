@@ -177,9 +177,12 @@ func newNetwork(cfg Config, newLink func(*Network) (link, error)) (*Network, err
 	cfg = cfg.withDefaults()
 	// The overlay seed derivation is shared with the simulator, so the
 	// same seed and options build the same topology on either transport.
-	ov := newLockedOverlay(
-		buildOverlay(cfg.Overlay, cfg.Nodes, cup.OverlaySeed(cfg.Seed)),
-		cfg.Overlay, cup.OverlaySeed(cfg.Seed)+1)
+	// The registry knows every kind: internal/cup's imports register them.
+	sub, err := overlay.Build(cfg.Overlay, cfg.Nodes, cup.OverlaySeed(cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	ov := newLockedOverlay(sub, cfg.Overlay, cup.OverlaySeed(cfg.Seed)+1)
 	n := &Network{
 		ov:     ov,
 		router: cup.NewOverlayRouter(ov),

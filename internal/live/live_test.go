@@ -331,9 +331,14 @@ func TestCloseIsIdempotentAndStopsLoops(t *testing.T) {
 
 func TestInvalidConfigErrors(t *testing.T) {
 	eachLink(t, func(t *testing.T, boot bootFunc) {
-		if n, err := boot(Config{Nodes: 0}); err == nil {
-			n.Close()
-			t.Fatal("Nodes=0 accepted")
+		for name, cfg := range map[string]Config{
+			"zero nodes":      {Nodes: 0},
+			"unknown overlay": {Nodes: 4, Overlay: "no-such-overlay"},
+		} {
+			if n, err := boot(cfg); err == nil {
+				n.Close()
+				t.Fatalf("%s accepted", name)
+			}
 		}
 	})
 }

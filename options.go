@@ -390,12 +390,6 @@ func WithTimeScale(scale float64) Option {
 	}
 }
 
-// WithHooks schedules timed interventions into a simulated run — the
-// escape hatch predating WithFaults for arbitrary *Simulation surgery.
-func WithHooks(hooks ...Hook) Option {
-	return func(o *options) { o.p.Hooks = append(o.p.Hooks, hooks...) }
-}
-
 // WithoutWorkload skips the scripted workload (replica births and Poisson
 // queries) on the simulated transport: the deployment starts idle and is
 // driven through the client API (Lookup, Publish), exactly like a live
@@ -407,15 +401,15 @@ func WithoutWorkload() Option {
 // WithShards partitions a simulated run's node population into k
 // contiguous blocks, each driven by its own event heap under conservative
 // time-window synchronization (lookahead = the hop delay, the minimum
-// link delay). Sharding targets million-node batch sweeps: it requires
-// the homogeneous-delay open-loop subset of the simulator — no
-// WithLatencyModel, WithFaults, WithHooks, or WithoutWorkload — and
-// implies WithDenseState. Results are deterministic for a fixed k, but
-// the event interleaving (and so float accumulation order) differs from
-// the single-heap schedule; integer counters agree exactly. Observers
-// attached to a sharded run may be called from per-shard goroutines
-// concurrently, like on the live transport. A non-positive count is a
-// configuration error.
+// link delay), with each block's node state in its own arena slab.
+// Sharding targets million-node batch sweeps: it requires the
+// homogeneous-delay open-loop subset of the simulator — no
+// WithLatencyModel, WithFaults, or WithoutWorkload. Results are
+// deterministic for a fixed k, but the event interleaving (and so float
+// accumulation order) differs from the single-heap schedule; integer
+// counters agree exactly. Observers attached to a sharded run may be
+// called from per-shard goroutines concurrently, like on the live
+// transport. A non-positive count is a configuration error.
 func WithShards(k int) Option {
 	return func(o *options) {
 		if k <= 0 {
@@ -426,12 +420,12 @@ func WithShards(k int) Option {
 	}
 }
 
-// WithDenseState backs simulated node state with the struct-of-arrays
-// arena instead of per-node heap objects: identical behavior and event
-// stream, a fraction of the memory and GC pointer traffic. Implied by
-// WithShards(k > 1); worth setting explicitly for big single-shard runs.
+// WithDenseState does nothing: the simulator always keeps its nodes'
+// state in the struct-of-arrays arena.
+//
+// Deprecated: every simulated deployment is arena-backed.
 func WithDenseState() Option {
-	return func(o *options) { o.p.DenseState = true }
+	return func(*options) {}
 }
 
 // WithInboxDepth bounds each live peer's mailbox (default 1024). A

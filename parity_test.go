@@ -158,7 +158,7 @@ func TestSimLiveEventParity(t *testing.T) {
 // FNV-1a clustered sequential key names onto near-identical points, so
 // fixing key dispersion moved every authority assignment (and with it
 // the exact counter values). The invariant the test protects — the
-// Params path and the Traffic API agreeing bit-for-bit with one
+// default workload and the Traffic API agreeing bit-for-bit with one
 // recorded run — is unchanged.
 var goldenPoisson = map[string]cup.Counters{
 	"can": {Queries: 2963, Hits: 2803, FirstTimeMisses: 144, FreshnessMisses: 16,
@@ -175,42 +175,30 @@ var goldenPoisson = map[string]cup.Counters{
 		UnjustifiedUpdates: 48, MissLatencyTotal: 51.67996909795119, MissesServed: 235},
 }
 
-// Scenario-API parity: the same seed driven through the public Traffic
-// interface (cup.New + WithTraffic(PoissonTraffic)) must reproduce
-// bit-identical counters to the compatibility Params path — and both
-// must match the counters the pre-refactor embedded driver loop
-// produced.
+// Scenario-API parity: the same seed driven through the default
+// workload and through the public Traffic interface
+// (WithTraffic(PoissonTraffic)) must both match the counters the
+// pre-refactor embedded driver loop produced.
 func TestPoissonTrafficBitIdenticalToDriverPath(t *testing.T) {
 	for kind, want := range goldenPoisson {
 		kind, want := kind, want
 		t.Run(kind, func(t *testing.T) {
-			legacy := cup.Run(cup.Params{
-				Nodes: 256, OverlayKind: kind, QueryRate: 5, QueryDuration: 600, Seed: 3,
-			})
-			if legacy.Counters != want {
-				t.Errorf("Params path drifted from the pre-Scenario driver:\n got  %+v\n want %+v",
-					legacy.Counters, want)
+			run := func(extra ...cup.Option) cup.Counters {
+				return runDeployment(t, append([]cup.Option{
+					cup.WithNodes(256),
+					cup.WithOverlay(kind),
+					cup.WithQueryRate(5),
+					cup.WithQueryDuration(600 * time.Second),
+					cup.WithSeed(3),
+				}, extra...)...).Counters
 			}
-
-			d, err := cup.New(
-				cup.WithTraffic(cup.PoissonTraffic(5)),
-				cup.WithNodes(256),
-				cup.WithOverlay(kind),
-				cup.WithQueryRate(5),
-				cup.WithQueryDuration(600*time.Second),
-				cup.WithSeed(3),
-			)
-			if err != nil {
-				t.Fatal(err)
+			if got := run(); got != want {
+				t.Errorf("default workload drifted from the pre-Scenario driver:\n got  %+v\n want %+v",
+					got, want)
 			}
-			defer d.Close()
-			res, err := d.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Counters != want {
+			if got := run(cup.WithTraffic(cup.PoissonTraffic(5))); got != want {
 				t.Errorf("Traffic API drifted from the pre-Scenario driver:\n got  %+v\n want %+v",
-					res.Counters, want)
+					got, want)
 			}
 		})
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cup"
+	internal "cup/internal/cup"
 	"cup/internal/overlay"
 )
 
@@ -99,6 +100,25 @@ func TestTrialsMergeDeterministic(t *testing.T) {
 	}
 	if seq == plain {
 		t.Fatal("4-trial sweep equals a single run: per-trial seeds not applied")
+	}
+}
+
+// EventsExecuted counts the events of every trial a sweep ran: it
+// equals the sum over single runs at the trials' derived seeds.
+func TestTrialSweepCountsEvents(t *testing.T) {
+	events := func(extra ...cup.Option) uint64 {
+		d := newDeployment(t, trialOpts(extra...)...)
+		if _, err := d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return d.EventsExecuted()
+	}
+	var want uint64
+	for i := 0; i < 3; i++ {
+		want += events(cup.WithSeed(internal.TrialSeed(11, i)))
+	}
+	if got := events(cup.WithTrials(3), cup.WithParallelism(2)); want == 0 || got != want {
+		t.Fatalf("3-trial sweep executed %d events, want %d (the trials' single runs)", got, want)
 	}
 }
 
