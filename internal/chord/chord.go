@@ -6,8 +6,12 @@
 package chord
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"cup/internal/overlay"
 )
@@ -17,17 +21,21 @@ const fingerBits = 64
 // Ring is a static Chord ring. Nodes are placed on the 2^64 identifier
 // circle by hashing their labels; each key is owned by its successor node.
 // Ring implements overlay.Overlay.
+//
+// Finger b of node n is successor(ids[n] + 2^b). Every finger whose offset
+// 2^b does not pass n's successor is that successor: exactly the bits
+// below lo[n] = bits.Len64(ids[succ[n]] - ids[n]). Only bits lo[n]..63
+// are stored — about log₂ n + 1 of the 64 — in one pointer-free table:
+// fing[off[n]+b-lo[n]] is finger b of n.
 type Ring struct {
 	ids   []uint64         // ring position per NodeID (dense index)
 	order []overlay.NodeID // nodes sorted by ring position
-	// fingers is one flat row-major table, fingerBits entries per node:
-	// fingers[i*fingerBits+b] = successor(ids[i] + 2^b). One pointer-free
-	// allocation instead of n slice headers — at 10^6 nodes that is the
-	// difference between a table the GC never scans and a million tiny
-	// objects.
-	fingers []overlay.NodeID
-	succ    []overlay.NodeID // immediate successor per node
-	pred    []overlay.NodeID // immediate predecessor per node
+	pos   []uint64         // pos[i] = ids[order[i]]: the sorted ring positions
+	succ  []overlay.NodeID // immediate successor per node
+	pred  []overlay.NodeID // immediate predecessor per node
+	off   []int32          // start of each node's row in fing
+	lo    []uint8          // lowest stored finger bit per node
+	fing  []overlay.NodeID // stored fingers: row n is bits lo[n]..63 of node n
 }
 
 var _ overlay.Overlay = (*Ring)(nil)
@@ -40,55 +48,122 @@ func Build(n int) *Ring {
 	if n <= 0 {
 		panic("chord: Build requires n > 0")
 	}
+	ids := make([]uint64, n)
+	label := []byte("chord-node-")
+	prefix := len(label)
+	for i := range ids {
+		label = strconv.AppendInt(label[:prefix], int64(i), 10)
+		ids[i] = overlay.HashNodeID(string(label))
+	}
+	return newRing(ids)
+}
+
+// newRing builds the ring whose node i sits at ids[i]; the ring keeps ids.
+func newRing(ids []uint64) *Ring {
+	n := len(ids)
 	r := &Ring{
-		ids:     make([]uint64, n),
-		order:   make([]overlay.NodeID, n),
-		fingers: make([]overlay.NodeID, n*fingerBits),
-		succ:    make([]overlay.NodeID, n),
-		pred:    make([]overlay.NodeID, n),
+		ids:   ids,
+		order: make([]overlay.NodeID, n),
+		pos:   make([]uint64, n),
+		succ:  make([]overlay.NodeID, n),
+		pred:  make([]overlay.NodeID, n),
+		off:   make([]int32, n),
+		lo:    make([]uint8, n),
 	}
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		id := overlay.HashNodeID(fmt.Sprintf("chord-node-%d", i))
-		if seen[id] {
-			panic(fmt.Sprintf("chord: ring position collision at node %d", i))
+	type placed struct {
+		pos  uint64
+		node overlay.NodeID
+	}
+	sorted := make([]placed, n)
+	for i, id := range ids {
+		sorted[i] = placed{id, overlay.NodeID(i)}
+	}
+	slices.SortFunc(sorted, func(a, b placed) int { return cmp.Compare(a.pos, b.pos) })
+	for i, p := range sorted {
+		if i > 0 && p.pos == sorted[i-1].pos {
+			a, b := min(p.node, sorted[i-1].node), max(p.node, sorted[i-1].node)
+			panic(fmt.Sprintf("chord: ring position collision between node %d and node %d", a, b))
 		}
-		seen[id] = true
-		r.ids[i] = id
-		r.order[i] = overlay.NodeID(i)
+		r.pos[i], r.order[i] = p.pos, p.node
 	}
-	sort.Slice(r.order, func(a, b int) bool { return r.ids[r.order[a]] < r.ids[r.order[b]] })
-	for pos, node := range r.order {
-		r.succ[node] = r.order[(pos+1)%n]
-		r.pred[node] = r.order[(pos-1+n)%n]
+	for i, node := range r.order {
+		r.succ[node] = r.order[(i+1)%n]
+		r.pred[node] = r.order[(i-1+n)%n]
+		r.lo[node] = uint8(bits.Len64(r.pos[(i+1)%n] - r.pos[i]))
 	}
-	for i := 0; i < n; i++ {
-		r.buildFingers(overlay.NodeID(i))
+	// Rows are laid out in ring order, so each sweep below writes them front
+	// to back; off[n] locates n's row and lo[n] gives its length.
+	total, lowest := 0, fingerBits
+	for _, node := range r.order {
+		lowest = min(lowest, int(r.lo[node]))
+		r.off[node] = int32(total)
+		total += fingerBits - int(r.lo[node])
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("chord: %d nodes overflow the finger table", n))
+		}
+	}
+	r.fing = make([]overlay.NodeID, total)
+	for b := lowest; b < fingerBits; b++ {
+		r.sweep(b)
 	}
 	return r
 }
 
-// buildFingers computes the classic finger table: entry b points at the
-// first node whose identifier succeeds ids[n] + 2^b (mod 2^64). Duplicate
-// consecutive fingers are kept — the table is indexed positionally.
-func (r *Ring) buildFingers(n overlay.NodeID) {
-	row := r.fingers[int(n)*fingerBits : (int(n)+1)*fingerBits]
-	for b := 0; b < fingerBits; b++ {
-		target := r.ids[n] + (uint64(1) << uint(b)) // wraps naturally mod 2^64
-		row[b] = r.successorOf(target)
+// sweep fills finger b of every node that stores it. The targets
+// pos[i] + 2^b advance around the ring with i, so one pointer that only
+// moves forward finds them all: O(n) work for the bit.
+func (r *Ring) sweep(b int) {
+	n := len(r.pos)
+	d := uint64(1) << uint(b)
+	start := 0 // start of the row of the node at position i
+	j := 1     // candidate finger, as a position in (i, i+n]; i+n is the node itself
+	for i, x := range r.pos {
+		next := i + 1
+		if next == n {
+			next = 0
+		}
+		first := bits.Len64(r.pos[next] - x) // the node's lo
+		if b >= first {
+			j = max(j, i+1)
+			for j < i+n && r.pos[wrap(j, n)]-x < d {
+				j++
+			}
+			r.fing[start+b-first] = r.order[wrap(j, n)]
+		}
+		start += fingerBits - first
 	}
 }
 
-// finger returns entry b of n's finger table.
+// wrap maps a position in [0, 2n) onto the ring.
+func wrap(j, n int) int {
+	if j >= n {
+		return j - n
+	}
+	return j
+}
+
+// finger returns finger b of n: successor(ids[n] + 2^b).
 func (r *Ring) finger(n overlay.NodeID, b int) overlay.NodeID {
-	return r.fingers[int(n)*fingerBits+b]
+	lo := int(r.lo[n])
+	if b < lo {
+		return r.succ[n]
+	}
+	return r.fing[int(r.off[n])+b-lo]
+}
+
+// row returns n's stored fingers, bits lo[n]..63.
+func (r *Ring) row(n overlay.NodeID) []overlay.NodeID {
+	start := int(r.off[n])
+	return r.fing[start : start+fingerBits-int(r.lo[n])]
 }
 
 // successorOf returns the node owning identifier t: the first node at or
 // clockwise after t.
+//
+//cup:hotpath
 func (r *Ring) successorOf(t uint64) overlay.NodeID {
-	i := sort.Search(len(r.order), func(i int) bool { return r.ids[r.order[i]] >= t })
-	if i == len(r.order) {
+	i, _ := slices.BinarySearch(r.pos, t)
+	if i == len(r.pos) {
 		i = 0
 	}
 	return r.order[i]
@@ -107,6 +182,8 @@ func (r *Ring) Successor(n overlay.NodeID) overlay.NodeID { return r.succ[n] }
 func (r *Ring) Predecessor(n overlay.NodeID) overlay.NodeID { return r.pred[n] }
 
 // Owner returns the authority node for key k (the successor of its hash).
+//
+//cup:hotpath
 func (r *Ring) Owner(k overlay.Key) overlay.NodeID {
 	return r.successorOf(overlay.HashID(k))
 }
@@ -123,18 +200,23 @@ func between(a, x, b uint64) bool {
 // and its successor, hop to the successor (which owns it); otherwise hop to
 // the closest finger preceding k. Each hop at least halves the remaining
 // clockwise distance, so paths are O(log n).
+//
+//cup:hotpath
 func (r *Ring) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID, bool) {
 	t := overlay.HashID(k)
-	if r.Owner(k) == n {
+	if r.successorOf(t) == n {
 		return n, true
 	}
-	if between(r.ids[n], t, r.ids[r.succ[n]]) {
+	x := r.ids[n]
+	if between(x, t, r.ids[r.succ[n]]) {
 		return r.succ[n], true
 	}
-	// Closest preceding finger: highest finger strictly inside (n, t).
-	for b := fingerBits - 1; b >= 0; b-- {
-		f := r.finger(n, b)
-		if f != n && between(r.ids[n], r.ids[f], t) && r.ids[f] != t {
+	// Closest preceding finger: highest finger strictly inside (n, t). The
+	// unstored fingers all equal the successor, which is also the fallback.
+	row := r.row(n)
+	for b := len(row) - 1; b >= 0; b-- {
+		f := row[b]
+		if f != n && between(x, r.ids[f], t) && r.ids[f] != t {
 			return f, true
 		}
 	}
@@ -145,17 +227,14 @@ func (r *Ring) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID, bool) {
 // entries plus successor and predecessor. In CUP terms these are the peers
 // with which n maintains query/update channels.
 func (r *Ring) Neighbors(n overlay.NodeID) []overlay.NodeID {
-	set := map[overlay.NodeID]bool{r.succ[n]: true, r.pred[n]: true}
-	for _, f := range r.fingers[int(n)*fingerBits : (int(n)+1)*fingerBits] {
-		if f != n {
-			set[f] = true
-		}
+	row := r.row(n)
+	out := make([]overlay.NodeID, 0, len(row)+2)
+	out = append(out, r.succ[n], r.pred[n])
+	out = append(out, row...)
+	slices.Sort(out)
+	out = slices.Compact(out)
+	if i, ok := slices.BinarySearch(out, n); ok {
+		out = slices.Delete(out, i, i+1)
 	}
-	delete(set, n)
-	out := make([]overlay.NodeID, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

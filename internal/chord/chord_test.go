@@ -3,6 +3,8 @@ package chord
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +191,122 @@ func TestPropertyRouting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceRing is the textbook finger table the ring once stored: all 64
+// fingers of every node, each found by its own binary search over the
+// sorted ring. Ring must route exactly as it does.
+type referenceRing struct {
+	ids     []uint64
+	order   []overlay.NodeID
+	succ    []overlay.NodeID
+	fingers []overlay.NodeID // fingers[i*fingerBits+b] = successor(ids[i] + 2^b)
+}
+
+func referenceFingers(ids []uint64) *referenceRing {
+	n := len(ids)
+	ref := &referenceRing{
+		ids:     ids,
+		order:   make([]overlay.NodeID, n),
+		succ:    make([]overlay.NodeID, n),
+		fingers: make([]overlay.NodeID, n*fingerBits),
+	}
+	for i := range ref.order {
+		ref.order[i] = overlay.NodeID(i)
+	}
+	sort.Slice(ref.order, func(a, b int) bool { return ids[ref.order[a]] < ids[ref.order[b]] })
+	for pos, node := range ref.order {
+		ref.succ[node] = ref.order[(pos+1)%n]
+	}
+	for i := 0; i < n; i++ {
+		for b := 0; b < fingerBits; b++ {
+			ref.fingers[i*fingerBits+b] = ref.successorOf(ids[i] + uint64(1)<<uint(b))
+		}
+	}
+	return ref
+}
+
+func (ref *referenceRing) successorOf(t uint64) overlay.NodeID {
+	i := sort.Search(len(ref.order), func(i int) bool { return ref.ids[ref.order[i]] >= t })
+	if i == len(ref.order) {
+		i = 0
+	}
+	return ref.order[i]
+}
+
+func (ref *referenceRing) nextHop(n overlay.NodeID, k overlay.Key) overlay.NodeID {
+	t := overlay.HashID(k)
+	if ref.successorOf(t) == n {
+		return n
+	}
+	if between(ref.ids[n], t, ref.ids[ref.succ[n]]) {
+		return ref.succ[n]
+	}
+	for b := fingerBits - 1; b >= 0; b-- {
+		f := ref.fingers[int(n)*fingerBits+b]
+		if f != n && between(ref.ids[n], ref.ids[f], t) && ref.ids[f] != t {
+			return f
+		}
+	}
+	return ref.succ[n]
+}
+
+func TestFingersMatchReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 17, 1000, 65536} {
+		r := Build(n)
+		ref := referenceFingers(r.ids)
+		for i := 0; i < n; i++ {
+			node := overlay.NodeID(i)
+			for b := 0; b < fingerBits; b++ {
+				if got, want := r.finger(node, b), ref.fingers[i*fingerBits+b]; got != want {
+					t.Fatalf("n=%d: finger(%d, %d) = %v, want %v", n, i, b, got, want)
+				}
+			}
+		}
+		for j := 0; j < 64; j++ {
+			k := overlay.Key(fmt.Sprintf("ref-%d", j))
+			if got, want := r.Owner(k), ref.successorOf(overlay.HashID(k)); got != want {
+				t.Fatalf("n=%d: Owner(%q) = %v, want %v", n, k, got, want)
+			}
+			for i := 0; i < n; i++ {
+				node := overlay.NodeID(i)
+				if got, _ := r.NextHop(node, k); got != ref.nextHop(node, k) {
+					t.Fatalf("n=%d: NextHop(%d, %q) = %v, want %v", n, i, k, got, ref.nextHop(node, k))
+				}
+			}
+		}
+	}
+}
+
+// The ring stores only the fingers past each node's successor: about
+// log₂ n + 1 per node instead of 64. The labels are fixed, so the count is
+// too.
+func TestFingerTableIsCompact(t *testing.T) {
+	const n = 1 << 16
+	r := Build(n)
+	perNode := float64(len(r.fing)) / n
+	if limit := math.Log2(n) + 2; perNode > limit {
+		t.Fatalf("%.2f stored fingers per node, want <= %.0f", perNode, limit)
+	}
+}
+
+func TestCollisionPanicNamesBothNodes(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "node 1 ") || !strings.HasSuffix(msg, "node 3") {
+			t.Fatalf("panic %q does not name colliding nodes 1 and 3", msg)
+		}
+	}()
+	newRing([]uint64{10, 40, 20, 40, 30})
+}
+
+var builtRing *Ring
+
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builtRing = Build(1 << 16)
 	}
 }
 
